@@ -6,7 +6,8 @@ package main
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -118,7 +119,7 @@ func checkBFS(g *graph.Graph, out any) error {
 			return fmt.Errorf("bfs: node %d has parent %d, want %d", v, f.Parent[v], parent[v])
 		}
 	}
-	if !equalInts(sortedCopy(f.Roots), roots) {
+	if !slices.Equal(slices.Sorted(slices.Values(f.Roots)), roots) {
 		return fmt.Errorf("bfs: roots %v, want %v", f.Roots, roots)
 	}
 	return nil
@@ -170,15 +171,11 @@ func checkConnectivity(g *graph.Graph, out any) error {
 			minOf[r] = v
 		}
 	}
-	var roots []int
-	for _, m := range minOf {
-		roots = append(roots, m)
-	}
-	sort.Ints(roots)
+	roots := slices.Sorted(maps.Values(minOf))
 	if a.Components != len(roots) || a.Connected != (len(roots) <= 1) {
 		return fmt.Errorf("connectivity: %d components (connected=%v), want %d", a.Components, a.Connected, len(roots))
 	}
-	if !equalInts(sortedCopy(a.Roots), roots) {
+	if !slices.Equal(slices.Sorted(slices.Values(a.Roots)), roots) {
 		return fmt.Errorf("connectivity: roots %v, want %v", a.Roots, roots)
 	}
 	// The spanning forest must use graph edges only, close no cycle, and
@@ -260,22 +257,4 @@ func edgeSet(g *graph.Graph) map[[2]int]bool {
 		}
 	}
 	return set
-}
-
-func sortedCopy(s []int) []int {
-	c := append([]int(nil), s...)
-	sort.Ints(c)
-	return c
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

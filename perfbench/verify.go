@@ -14,6 +14,7 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/adversary"
@@ -288,7 +289,7 @@ func compareTallies(spec campaign.Spec, ref *campaign.Report, tallies []cellTall
 			got = append(got, c.Rounds.Min, c.Rounds.Max, c.BoardBits.Min, c.BoardBits.Max, c.MaxMessageBits)
 			want = append(want, t.roundsMin, t.roundsMax, t.bitsMin, t.bitsMax, t.maxMsg)
 		}
-		if !equalInts(got, want) {
+		if !slices.Equal(got, want) {
 			return fmt.Errorf("cell %d (%s/%s n=%d %s %s): report %v, replay %v",
 				i, c.Protocol, c.Graph, c.N, c.Adversary, c.Model, got, want)
 		}
@@ -405,7 +406,7 @@ func checkNaive(spec campaign.Spec, ref *campaign.Report) error {
 		e := ref.Cells[job.Cell].Exhaustive
 		got := []int{e.Schedules, e.Success, e.Deadlock, e.Failed, e.Steps + e.StepsSaved}
 		want := []int{stats.Schedules, succ, dead, fail, stats.Steps}
-		if !equalInts(got, want) {
+		if !slices.Equal(got, want) {
 			return fmt.Errorf("%s on %s n=%d: memoized tallies %v, naive walk %v", job.Protocol, job.Graph, job.N, got, want)
 		}
 	}
