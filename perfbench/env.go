@@ -154,7 +154,7 @@ type env struct {
 
 	// served-jobs
 	clients []*servedClient
-	base    map[string]resultstore.Entry // spec hash → its pre-populated run
+	prev    map[string]string // spec hash → ref of the run the next diff compares against
 
 	// fleet-cells
 	fleetHTTP *http.Client

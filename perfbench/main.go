@@ -5,7 +5,7 @@
 //
 // Usage (from the repository root, through run.sh which builds it):
 //
-//	bash perfbench/run.sh --workload sampled-sweep --seed 1 --seconds 25 --trace 0
+//	bash perfbench/run.sh --workload sampled-sweep --seed 1 --seconds 20 --trace 0
 package main
 
 import (
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -48,7 +49,7 @@ type result struct {
 func main() {
 	workload := flag.String("workload", "", "workload name: sampled-sweep, served-jobs or fleet-cells")
 	seed := flag.Int64("seed", 1, "input seed")
-	seconds := flag.Int("seconds", 25, "length of the timed phase in seconds")
+	seconds := flag.Int("seconds", 20, "length of the timed phase in seconds")
 	trace := flag.Int("trace", 0, "1 runs the traced variant and prints per-layer metrics")
 	flag.Parse()
 	if _, ok := workloads[*workload]; !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
@@ -107,12 +108,22 @@ func run(name string, seed int64, seconds time.Duration, traced bool) (*result, 
 	if traced {
 		b.tr = newTracer()
 	}
-	ph := b.measure(seconds)
+	ph, err := b.measure(b.rounds(seconds))
+	if err != nil {
+		return nil, err
+	}
 
 	res := &result{Correct: true, Metrics: map[string]metric{}}
 	for _, r := range ph.subs {
 		res.Attempted += r.attempted
 		res.Failed += r.failed
+	}
+	if res.Failed > 0 {
+		// Every operation of every workload is expected to succeed; a
+		// failed one is an error or a failed check (a wrong status, a
+		// non-empty diff, an empty filtered list), already logged above.
+		res.Correct = false
+		fmt.Fprintf(os.Stderr, "perfbench: %s seed %d: %d of %d operations failed\n", name, seed, res.Failed, res.Attempted)
 	}
 	var lm map[string]metric
 	if err := b.verify(ph.subs); err != nil {
@@ -140,14 +151,14 @@ func run(name string, seed int64, seconds time.Duration, traced bool) (*result, 
 type phase struct {
 	subs   []subResult
 	rounds []roundStat
-	wall   time.Duration
+	wall   time.Duration // summed over rounds
 	trials int
 	sse    [2]int64 // served-jobs: events published, events dropped
 	fabric [2]int64 // fleet-cells: resubmissions, cells deduped
 }
 
 // minSubmissions keeps ten turnaround samples beyond the 90th percentile
-// even when the program is slow enough that seconds would not hold them.
+// even in a short run.
 const minSubmissions = 100
 
 // roundStat is one round's share of the rate metrics. The host this runs
@@ -160,24 +171,30 @@ type roundStat struct {
 	trials    int
 }
 
-// measure runs whole rounds until the timed phase has lasted seconds and
-// made at least minSubmissions submissions.
-func (b *bench) measure(seconds time.Duration) *phase {
+// rounds is the fixed number of rounds a run of the given length makes:
+// as many as fill it on the reference host, and at least enough for
+// minSubmissions. The work of a run is a function of the workload, the
+// seed and the length alone, never of how fast the host runs it.
+func (b *bench) rounds(seconds time.Duration) int {
+	n := int(math.Round(seconds.Seconds() / workloads[b.name].roundSeconds))
+	return max(n, (minSubmissions+len(b.round)-1)/len(b.round))
+}
+
+// measure runs the timed phase: the given number of whole rounds, with
+// the store trimmed back between them outside the timed rounds.
+func (b *bench) measure(rounds int) (*phase, error) {
 	sseBefore, fabBefore := b.counters()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	alloc, cpu := ms.TotalAlloc, cpuTime()
-	start := time.Now()
 	ph := &phase{}
-	for len(ph.subs) < minSubmissions || time.Since(start) < seconds {
-		roundStart := time.Now()
-		subs := b.runRound()
-		rs := roundStat{wall: time.Since(roundStart)}
+	var ms runtime.MemStats
+	for i := 0; i < rounds; i++ {
+		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		now := cpuTime()
-		rs.cpu, rs.alloc = now-cpu, ms.TotalAlloc-alloc
-		cpu, alloc = now, ms.TotalAlloc
+		alloc, cpu := ms.TotalAlloc, cpuTime()
+		start := time.Now()
+		subs := b.runRound()
+		rs := roundStat{wall: time.Since(start)}
+		runtime.ReadMemStats(&ms)
+		rs.cpu, rs.alloc = cpuTime()-cpu, ms.TotalAlloc-alloc
 		for _, r := range subs {
 			if r.failed == 0 {
 				rs.trials += r.trials
@@ -186,17 +203,18 @@ func (b *bench) measure(seconds time.Duration) *phase {
 		}
 		ph.rounds = append(ph.rounds, rs)
 		ph.subs = append(ph.subs, subs...)
-	}
-	ph.wall = time.Since(start)
-	for _, rs := range ph.rounds {
+		ph.wall += rs.wall
 		ph.trials += rs.trials
+		if err := b.trim(subs); err != nil {
+			return nil, fmt.Errorf("trimming the store: %w", err)
+		}
 	}
 	sseAfter, fabAfter := b.counters()
 	for i := range ph.sse {
 		ph.sse[i] = sseAfter[i] - sseBefore[i]
 		ph.fabric[i] = fabAfter[i] - fabBefore[i]
 	}
-	return ph
+	return ph, nil
 }
 
 // residentBytes reads the resident set size from /proc/self/statm.
@@ -289,7 +307,8 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // verify checks the round's reference reports, replays their jobs with
 // output checks, and requires every byte a submission read back to match
-// the reference rendering of its spec.
+// the reference rendering of its spec — also for a submission whose other
+// reads failed.
 func (b *bench) verify(subs []subResult) error {
 	b.refs = make([]*reference, len(b.round))
 	mode := replayCheck
@@ -315,12 +334,10 @@ func (b *bench) verify(subs []subResult) error {
 			return fmt.Errorf("%s: %w", spec.Name, err)
 		}
 	}
+	var none [32]byte
 	for _, r := range subs {
-		if r.failed > 0 {
-			continue
-		}
 		ref := b.refs[r.spec]
-		if r.jsonHash != ref.json || r.csvHash != ref.csv {
+		if (r.jsonHash != none && r.jsonHash != ref.json) || (r.csvHash != none && r.csvHash != ref.csv) {
 			return fmt.Errorf("%s: a report read back differs from the in-process run of the same spec", b.round[r.spec].Name)
 		}
 	}

@@ -2,7 +2,7 @@
 # Builds the benchmark from this checkout's sources and runs it. Run from
 # the repository root:
 #
-#   bash perfbench/run.sh --workload sampled-sweep --seed 1 --seconds 25 --trace 0
+#   bash perfbench/run.sh --workload sampled-sweep --seed 1 --seconds 20 --trace 0
 #
 # Everything the build writes (binary, Go build cache, Go's own config and
 # telemetry files) stays under .bench_build/ in the checkout.

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/campaign"
 )
@@ -54,13 +55,39 @@ func pick(rng *rand.Rand, s []string, k int) []string {
 	return out
 }
 
+// deck deals a pool's elements in seeded shuffles, one after another, so
+// that over any whole number of shuffles every element is dealt equally
+// often: the seed decides which spec gets which adversary, model or
+// family, not how often each appears in a round, and rounds of different
+// seeds cost about the same.
+type deck struct {
+	rng   *rand.Rand
+	pool  []string
+	cards []string
+}
+
+func newDeck(rng *rand.Rand, pool []string) *deck { return &deck{rng: rng, pool: pool} }
+
+// deal returns the next k elements, all distinct: when fewer than k are
+// left in the current shuffle, it starts a new one.
+func (d *deck) deal(k int) []string {
+	if len(d.cards) < k {
+		d.cards = pick(d.rng, d.pool, len(d.pool))
+	}
+	out := slices.Clone(d.cards[:k])
+	d.cards = d.cards[k:]
+	return out
+}
+
 // Rounds have a fixed make-up — which protocols run on which graph family
 // at which sizes, with how many adversaries, models and seeds — and the
-// seed draws the inputs: the adversaries (and the served and fleet model
-// override), the base seed of every spec (and with it every random graph,
-// random schedule and spec hash) and the mis roots. Runs with different
-// seeds therefore do the same amount of work on different inputs, which
-// keeps the spread between seeds small.
+// seed draws the inputs: which spec gets which adversaries (and, on the
+// served and fleet specs, which model override and fleet families), dealt
+// from decks so that each appears equally often in every round; the base
+// seed of every spec (and with it every random graph, random schedule and
+// spec hash); and the mis roots. Runs with different seeds therefore do
+// about the same amount of work on different inputs, which keeps the
+// spread between seeds small.
 
 // sampledTemplate is one sampled-sweep spec shape: a protocol set on one
 // graph family under a set of model overrides, with the family's edge
@@ -112,6 +139,7 @@ var sampledLevels = []sampledLevel{
 // seed per cell, plus the light exhaustive specs.
 func sampledRound(seed int64) []campaign.Spec {
 	rng := rand.New(rand.NewSource(seed))
+	advs := newDeck(rng, adversaryPool)
 	var specs []campaign.Spec
 	for li, lv := range sampledLevels {
 		for _, t := range lv.templates {
@@ -120,7 +148,7 @@ func sampledRound(seed int64) []campaign.Spec {
 				Protocols:   t.protocols,
 				Graphs:      []string{t.graph},
 				Sizes:       []int{lv.n},
-				Adversaries: pick(rng, adversaryPool, 2),
+				Adversaries: advs.deal(2),
 				Models:      t.models,
 				BaseSeed:    rng.Int63n(1 << 40),
 				K:           specK,
@@ -198,14 +226,14 @@ func rotate(s []string, k int) []string {
 // on one forest family at one size in 12…24, two seeded adversaries, one
 // model, two seeds — about a millisecond of engine work, so every
 // submission costs about the same.
-func smallSpec(rng *rand.Rand, i int, name string) campaign.Spec {
+func smallSpec(rng *rand.Rand, advs, models *deck, i int, name string) campaign.Spec {
 	return campaign.Spec{
 		Name:        name,
 		Protocols:   rotate(smallProtocols, i),
 		Graphs:      []string{forestFamilies[(i/len(smallProtocols))%len(forestFamilies)]},
 		Sizes:       []int{12 + 4*(i%4)},
-		Adversaries: pick(rng, adversaryPool, 2),
-		Models:      pick(rng, strongModels, 1),
+		Adversaries: advs.deal(2),
+		Models:      models.deal(1),
 		Seeds:       2,
 		BaseSeed:    rng.Int63n(1 << 40),
 		K:           specK,
@@ -217,9 +245,10 @@ func smallSpec(rng *rand.Rand, i int, name string) campaign.Spec {
 // shapes smallSpec cycles through. Client c submits specs c, c+2, ….
 func servedRound(seed int64) []campaign.Spec {
 	rng := rand.New(rand.NewSource(seed))
+	advs, models := newDeck(rng, adversaryPool), newDeck(rng, strongModels)
 	specs := make([]campaign.Spec, 48)
 	for i := range specs {
-		specs[i] = smallSpec(rng, i, fmt.Sprintf("served-%d", i))
+		specs[i] = smallSpec(rng, advs, models, i, fmt.Sprintf("served-%d", i))
 	}
 	return specs
 }
@@ -228,9 +257,10 @@ func servedRound(seed int64) []campaign.Spec {
 // submission repeats, so listing and filtering walk a store of real size.
 func fillerSpecs(seed int64, count int) []campaign.Spec {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	advs, models := newDeck(rng, adversaryPool), newDeck(rng, strongModels)
 	specs := make([]campaign.Spec, count)
 	for i := range specs {
-		specs[i] = smallSpec(rng, i, fmt.Sprintf("filler-%d", i))
+		specs[i] = smallSpec(rng, advs, models, i, fmt.Sprintf("filler-%d", i))
 		specs[i].Seeds = 1
 		specs[i].Adversaries = specs[i].Adversaries[:1]
 	}
@@ -242,15 +272,16 @@ func fillerSpecs(seed int64, count int) []campaign.Spec {
 // adversaries × one model), two seeds per cell.
 func fleetRound(seed int64) []campaign.Spec {
 	rng := rand.New(rand.NewSource(seed))
+	graphs, advs, models := newDeck(rng, forestFamilies), newDeck(rng, adversaryPool), newDeck(rng, strongModels)
 	specs := make([]campaign.Spec, 8)
 	for i := range specs {
 		specs[i] = campaign.Spec{
 			Name:        fmt.Sprintf("fleet-%d", i),
 			Protocols:   rotate(smallProtocols, i),
-			Graphs:      pick(rng, forestFamilies, 2),
+			Graphs:      graphs.deal(2),
 			Sizes:       []int{16, 24, 32, 40},
-			Adversaries: pick(rng, adversaryPool, 4),
-			Models:      pick(rng, strongModels, 1),
+			Adversaries: advs.deal(4),
+			Models:      models.deal(1),
 			Seeds:       2,
 			BaseSeed:    rng.Int63n(1 << 40),
 			K:           specK,

@@ -11,7 +11,7 @@ first's. Bounds in BENCHMARK.json are set from this output.
 
 Run from the repository root:
 
-    python3 perfbench/steady.py --runs 10 --sets 2 --seconds 25
+    python3 perfbench/steady.py --runs 10 --sets 2 --seconds 20
     python3 perfbench/steady.py --runs 5 --workloads sampled-sweep
 """
 
@@ -41,8 +41,9 @@ def run_set(workloads, runs, seed0, seconds):
         for w in order:
             res = run_once(w, seed0 + i, seconds)
             results[w].append(res)
+            values = " ".join(f"{k}={v['value']:.5g}" for k, v in sorted(res["metrics"].items()))
             print(f"  run {i + 1}/{runs} {w} seed {seed0 + i}: correct={res['correct']} "
-                  f"attempted={res['attempted']} failed={res['failed']}", file=sys.stderr, flush=True)
+                  f"attempted={res['attempted']} failed={res['failed']} {values}", file=sys.stderr, flush=True)
     return results
 
 
@@ -65,7 +66,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--runs", type=int, default=10, help="repetitions per set (one seed each)")
     ap.add_argument("--sets", type=int, default=1, choices=[1, 2])
-    ap.add_argument("--seconds", type=int, default=25)
+    ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--seed0", type=int, default=1, help="seed of the first repetition")
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
     args = ap.parse_args()

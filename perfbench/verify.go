@@ -201,7 +201,6 @@ func (b *bench) replay(spec campaign.Spec, ref *campaign.Report, mode replayMode
 			}
 			if st != nil {
 				st.memoTrials++
-				st.memoTrials++
 				st.classes += int64(mstats.Classes)
 				st.naiveSteps += naive
 				st.savedSteps += naive - float64(mstats.Steps)
